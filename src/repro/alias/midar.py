@@ -27,11 +27,9 @@ point-to-point subnets) are reassigned to the majority ASN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
-
 from typing import TYPE_CHECKING
 
-from ..measurement.ipid import IPID_MODULUS, IpidResponder
+from ..measurement.ipid import IPID_MODULUS, IpidResponder, Prober
 from ..obs import Instrumentation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -96,12 +94,15 @@ class UnionFind:
 
     def find(self, item: object) -> object:
         """Representative of ``item``'s set (path-compressed)."""
-        self.add(item)
+        parent = self._parent
+        if item not in parent:
+            self.add(item)
+            return item
         root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a: object, b: object) -> None:
@@ -178,7 +179,11 @@ class MidarConfig:
 
 
 class MidarResolver:
-    """Runs the MIDAR stages against an :class:`IpidResponder`."""
+    """Runs the MIDAR stages against an :class:`IpidResponder`.
+
+    MIDAR draws no randomness of its own: every answer comes from the
+    responder, so ``seed`` is accepted for call-site compatibility only.
+    """
 
     def __init__(
         self,
@@ -190,7 +195,6 @@ class MidarResolver:
     ) -> None:
         self._responder = responder
         self.config = config or MidarConfig()
-        self._rng = Random(seed)
         self._obs = instrumentation or Instrumentation()
         self._faults = fault_injector
         self.probes_sent = 0
@@ -205,14 +209,13 @@ class MidarResolver:
 
     def _estimate(self, addresses: list[int]) -> dict[int, float]:
         """Velocity per usable address; unusable addresses are dropped."""
+        train_length = self.config.estimation_train
         velocities: dict[int, float] = {}
         for address in addresses:
-            train = self._responder.probe_train(
-                address, self.config.estimation_train
-            )
-            self.probes_sent += len(train)
+            train = self._responder.probe_train(address, train_length)
+            self.probes_sent += train_length
             samples = [s for s in train if s is not None]
-            if len(samples) < self.config.estimation_train:
+            if len(samples) < train_length:
                 continue  # unresponsive (Google-style) targets
             if all(s == samples[0] for s in samples):
                 continue  # constant IP-ID
@@ -222,30 +225,15 @@ class MidarResolver:
             velocities[address] = velocity
         return velocities
 
-    # -- stage 2 -------------------------------------------------------
-
-    def _sieve(self, velocities: dict[int, float]) -> list[tuple[int, int]]:
-        """Candidate pairs whose velocities could share one counter.
-
-        A sliding window over velocity-sorted addresses: only pairs
-        within the configured ratio are worth probing, which keeps the
-        elimination stage far below the naive quadratic probe count.
-        """
-        ranked = sorted(velocities.items(), key=lambda item: (item[1], item[0]))
-        bound = self.config.velocity_ratio_bound
-        candidates: list[tuple[int, int]] = []
-        for i, (address_a, velocity_a) in enumerate(ranked):
-            ceiling = velocity_a * bound
-            for address_b, velocity_b in ranked[i + 1 :]:
-                if velocity_b > ceiling:
-                    break
-                candidates.append((address_a, address_b))
-        return candidates
-
     # -- stage 3 -------------------------------------------------------
 
-    def _eliminate(self, a: int, b: int, velocity_a: float, velocity_b: float) -> bool:
+    def _eliminate(
+        self, probe_a: Prober, probe_b: Prober, velocity_a: float, velocity_b: float
+    ) -> bool:
         """Interleaved monotonic bounds test; all rounds must pass.
+
+        ``probe_a`` and ``probe_b`` are the responder's probers of the
+        two addresses (:meth:`IpidResponder.prober`).
 
         Besides pure monotonicity, the bounds test checks *velocity
         consistency*: when two addresses share one counter, probing them
@@ -258,33 +246,38 @@ class MidarResolver:
         """
         expected_stride = velocity_a + velocity_b
         tolerance = 0.8 + 0.05 * expected_stride
-        for _ in range(self.config.elimination_rounds):
-            interleaved: list[int] = []
-            per_address: dict[int, list[int]] = {a: [], b: []}
-            total_advance = 0
-            for _ in range(self.config.elimination_train):
-                for address in (a, b):
-                    sample = self._responder.probe(address)
-                    self.probes_sent += 1
+        schedule = (probe_a, probe_b) * self.config.elimination_train
+        sent = 0
+        try:
+            for _ in range(self.config.elimination_rounds):
+                interleaved: list[int] = []
+                previous: int | None = None
+                total_advance = 0
+                for probe in schedule:
+                    sample = probe()
+                    sent += 1
                     if sample is None:
                         return False
                     # Incremental bounds check: abort the train as soon
                     # as monotonicity is violated (most non-alias pairs
                     # fail within the first few probes).
-                    if interleaved:
-                        step = (sample - interleaved[-1]) % IPID_MODULUS
+                    if previous is not None:
+                        step = (sample - previous) % IPID_MODULUS
                         if step == 0:
                             return False
                         total_advance += step
                         if total_advance >= IPID_MODULUS:
                             return False
+                    previous = sample
                     interleaved.append(sample)
-                    per_address[address].append(sample)
-            for samples in per_address.values():
-                stride = velocity_estimate(samples)
-                if stride is None or abs(stride - expected_stride) > tolerance:
-                    return False
-        return True
+                # Each address's own samples: every other interleaved one.
+                for samples in (interleaved[0::2], interleaved[1::2]):
+                    stride = velocity_estimate(samples)
+                    if stride is None or abs(stride - expected_stride) > tolerance:
+                        return False
+            return True
+        finally:
+            self.probes_sent += sent
 
     # -- pipeline ------------------------------------------------------
 
@@ -295,32 +288,59 @@ class MidarResolver:
         union_find = UnionFind()
         for address in velocities:
             union_find.add(address)
-        for pair in self._accepted_pairs:
+        accepted = self._accepted_pairs
+        rejected = self._rejected_pairs
+        for pair in accepted:
             if pair[0] in velocities and pair[1] in velocities:
                 union_find.union(*pair)
-        for a, b in self._sieve(velocities):
-            pair = (a, b) if a < b else (b, a)
-            if pair in self._rejected_pairs or pair in self._accepted_pairs:
-                # Verdict cached from an earlier refresh: no re-probing.
-                self._obs.count("midar.pair_cache_hits")
-                continue
-            # Corroboration shortcut: if already merged transitively,
-            # skip the probes (MIDAR does the same to bound probing).
-            if union_find.find(a) == union_find.find(b):
-                continue
-            self._obs.count("midar.pairs_probed")
-            if self._eliminate(a, b, velocities[a], velocities[b]):
-                # Chaos layer: congestion can break an elimination train
-                # and turn a true alias pair into a (cached!) rejection.
-                if self._faults is not None and self._faults.alias_false_negative():
-                    self._rejected_pairs.add(pair)
-                    self._obs.count("midar.fault_false_negatives")
+        # Stage 2, the sieve: a sliding window over velocity-sorted
+        # addresses.  Only pairs within the configured ratio are worth
+        # probing, which keeps elimination far below the naive
+        # quadratic probe count.
+        ranked = sorted(velocities.items(), key=lambda item: (item[1], item[0]))
+        probers = [self._responder.prober(address) for address, _ in ranked]
+        bound = self.config.velocity_ratio_bound
+        find = union_find.find
+        faults = self._faults
+        # Counters accumulate locally and are flushed once per resolve.
+        cache_hits = pairs_probed = pairs_accepted = false_negatives = 0
+        for i, (a, velocity_a) in enumerate(ranked):
+            ceiling = velocity_a * bound
+            for j in range(i + 1, len(ranked)):
+                b, velocity_b = ranked[j]
+                if velocity_b > ceiling:
+                    break
+                pair = (a, b) if a < b else (b, a)
+                if pair in rejected or pair in accepted:
+                    # Verdict cached from an earlier refresh: no re-probing.
+                    cache_hits += 1
                     continue
-                union_find.union(a, b)
-                self._accepted_pairs.add(pair)
-                self._obs.count("midar.pairs_accepted")
-            else:
-                self._rejected_pairs.add(pair)
+                # Corroboration shortcut: if already merged transitively,
+                # skip the probes (MIDAR does the same to bound probing).
+                if find(a) == find(b):
+                    continue
+                pairs_probed += 1
+                if self._eliminate(probers[i], probers[j], velocity_a, velocity_b):
+                    # Chaos layer: congestion can break an elimination
+                    # train and turn a true alias pair into a (cached!)
+                    # rejection.
+                    if faults is not None and faults.alias_false_negative():
+                        rejected.add(pair)
+                        false_negatives += 1
+                        continue
+                    union_find.union(a, b)
+                    accepted.add(pair)
+                    pairs_accepted += 1
+                else:
+                    rejected.add(pair)
+        for name, value in (
+            ("midar.pair_cache_hits", cache_hits),
+            ("midar.pairs_probed", pairs_probed),
+            ("midar.fault_false_negatives", false_negatives),
+            ("midar.pairs_accepted", pairs_accepted),
+        ):
+            if value:
+                self._obs.count(name, value)
         self._obs.count("midar.probes_sent", self.probes_sent - probes_before)
         result = AliasSets.from_groups(union_find.groups())
         self._obs.emit(

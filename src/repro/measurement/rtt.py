@@ -16,6 +16,7 @@ repeated samples).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -83,12 +84,32 @@ class RttModel:
         so a trace's noise never depends on unrelated probes, and
         ``None`` falls back to the model's own sequential stream.
         """
-        draw = self._rng if rng is None else rng
-        rtt = 2.0 * one_way_ms
-        rtt += draw.uniform(0.0, self.config.jitter_ms)
-        if draw.random() < self.config.congestion_prob:
-            rtt += draw.uniform(0.0, self.config.congestion_ms)
-        return rtt
+        return self.min_sample_from_one_way(one_way_ms, 1, rng)
+
+    def min_sample_from_one_way(
+        self, one_way_ms: float, samples: int, rng: Random | None = None
+    ) -> float:
+        """The least of ``samples`` (at least one) noisy RTT samples.
+
+        Each sample is the base plus uniform jitter, plus a uniform
+        congestion spike with probability ``congestion_prob``; the draws
+        happen in that order, sample after sample.  ``uniform(0.0, x)``
+        is computed as ``0.0 + x * random()``, which is ``x * random()``
+        to the bit, so the jitter is drawn inline without the call.
+        """
+        random = (self._rng if rng is None else rng).random
+        jitter_ms = self.config.jitter_ms
+        congestion_prob = self.config.congestion_prob
+        congestion_ms = self.config.congestion_ms
+        base = 2.0 * one_way_ms
+        best = math.inf
+        for _ in range(samples):
+            rtt = base + jitter_ms * random()
+            if random() < congestion_prob:
+                rtt += congestion_ms * random()
+            if rtt < best:
+                best = rtt
+        return best
 
     def metro_local_bound_ms(self) -> float:
         """Upper bound on the RTT step between two hops in one metro.

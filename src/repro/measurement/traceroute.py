@@ -28,6 +28,14 @@ pure function of the engine seed and the probe's identity, independent
 of how many unrelated probes ran before it, which is what lets the
 parallel campaign executor shard probes freely and still merge
 byte-identical output (see :mod:`repro.exec`).
+
+Everything else about a Paris trace is a pure function of ``(source
+router, destination)`` over the frozen topology: the forwarding path,
+which address answers each TTL, and the cumulative one-way delay base
+of every hop.  The engine computes that skeleton once per pair as a
+:class:`_PathTemplate` and, on every trace, draws only the keyed noise
+over it.  Churn never invalidates a template: it is applied to finished
+traces (:func:`repro.topology.churn.censor_trace`), not to the topology.
 """
 
 from __future__ import annotations
@@ -148,6 +156,28 @@ class TracerouteConfig:
     paris: bool = True
 
 
+@dataclass(frozen=True, slots=True)
+class _PathTemplate:
+    """The noise-free skeleton of every Paris trace over one key.
+
+    ``fixed`` holds the finished hops of a trace that draws no noise:
+    ``()`` when the destination is unroutable, the destination's own hop
+    when it sits on the source router.  Otherwise it is ``None`` and the
+    remaining fields describe the probed path.
+    """
+
+    fixed: tuple[TraceHop, ...] | None
+    #: ``(ttl, router_id, answering address, cumulative one-way ms)``
+    #: per probed hop, in TTL order, cut at ``max_ttl``.
+    hops: tuple[tuple[int, int, int | None, float], ...] = ()
+    #: The last hop is the probed address itself: its answer reaches
+    #: the destination.
+    reaches: bool = False
+    #: A host target's own echo, one TTL behind its gateway router:
+    #: ``(ttl, gateway router id, one-way ms)``.
+    echo: tuple[int, int, float] | None = None
+
+
 class TracerouteEngine:
     """Issues traceroutes from topology routers toward interface addresses."""
 
@@ -174,6 +204,8 @@ class TracerouteEngine:
         #: Optional chaos layer; every finished trace passes through its
         #: :meth:`~repro.faults.injector.FaultInjector.perturb_trace`.
         self.fault_injector = fault_injector
+        #: Paris path templates per (src_router, dst_address).
+        self._templates: dict[tuple[int, int], _PathTemplate] = {}
 
     @staticmethod
     def _flow_id(src_router: int, dst_address: int, probe: int) -> int:
@@ -271,7 +303,10 @@ class TracerouteEngine:
 
         With Paris semantics (default) every probe shares one flow id
         and therefore one ECMP path; classic mode re-routes each TTL's
-        probe independently (:meth:`_trace_classic`).
+        probe independently (:meth:`_trace_classic`).  A Paris trace
+        takes its path skeleton from the cached template of its
+        ``(src_router, dst_address)`` and draws only hop loss and RTT
+        samples from its keyed substream.
         """
         self.traces_issued += 1
         rng = self._trace_rng(source_id, dst_address)
@@ -282,98 +317,31 @@ class TracerouteEngine:
                     src_router, dst_address, source_id, platform, rng
                 )
             )
-        flow_id = self._flow_id(src_router, dst_address, 0)
-        path = self._forwarder.router_path(src_router, dst_address, flow_id)
-        if path is None:
-            return self._finish(
-                Traceroute(
-                    source_id=source_id,
-                    platform=platform,
-                    src_asn=src.asn,
-                    dst_address=dst_address,
-                    hops=(),
-                    reached=False,
-                )
-            )
-
-        if len(path) == 1:
-            # Destination address lives on the source router itself.
-            hop = TraceHop(
-                ttl=1,
-                address=dst_address,
-                rtt_ms=0.1,
-                router_id=src_router,
-            )
-            return self._finish(
-                Traceroute(
-                    source_id=source_id,
-                    platform=platform,
-                    src_asn=src.asn,
-                    dst_address=dst_address,
-                    hops=(hop,),
-                    reached=True,
-                )
-            )
-
-        hops: list[TraceHop] = []
-        here: GeoLocation = self._topology.router_location(src_router)
-        one_way_ms = self._rtt.config.access_ms / 2.0
-        reached = False
-        # Host/server targets sit on a LAN *behind* their router: the
-        # router answers TTL-expiry from its ingress interface like any
-        # transit hop, and the host itself echoes one TTL later — which
-        # is what keeps the final interdomain crossing observable when
-        # campaigns target server addresses (Section 5's hitlists).
-        dst_interface = self._topology.interfaces[dst_address]
-        host_target = dst_interface.kind is InterfaceKind.HOST
-        # path[0] is the source router itself; it does not appear as a hop.
-        for ttl, router_hop in enumerate(path[1:], start=1):
-            if ttl > self.config.max_ttl:
-                break
-            there = self._topology.router_location(router_hop.router_id)
-            one_way_ms += self._rtt.step_one_way_ms(here, there)
-            here = there
-            is_last = router_hop is path[-1]
-            if is_last and not host_target:
-                # The destination answers the echo from the probed
-                # address itself, regardless of ingress interface.
-                address: int | None = dst_address
-            else:
-                address = router_hop.ingress_address
-            if address is not None and rng.random() < self.config.hop_loss_prob:
-                address = None
-            rtt: float | None = None
-            if address is not None:
-                rtt = min(
-                    self._rtt.sample_from_one_way(one_way_ms, rng=rng)
-                    for _ in range(self.config.rtt_samples)
-                )
-            hops.append(
-                TraceHop(
-                    ttl=ttl,
-                    address=address,
-                    rtt_ms=rtt,
-                    router_id=router_hop.router_id,
-                )
-            )
-            if is_last and not host_target and address is not None:
+        key = (src_router, dst_address)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = self._template(src_router, dst_address)
+        if template.fixed is not None:
+            hops: tuple[TraceHop, ...] | list[TraceHop] = template.fixed
+            reached = bool(hops)
+        else:
+            hops = []
+            hop_loss_prob = self.config.hop_loss_prob
+            rtt_samples = self.config.rtt_samples
+            sample = self._rtt.min_sample_from_one_way
+            for ttl, router_id, address, one_way_ms in template.hops:
+                if address is not None and rng.random() < hop_loss_prob:
+                    address = None
+                rtt: float | None = None
+                if address is not None:
+                    rtt = sample(one_way_ms, rtt_samples, rng)
+                hops.append(TraceHop(ttl, address, rtt, router_id))
+            reached = template.reaches and hops[-1].address is not None
+            if template.echo is not None:
+                ttl, router_id, one_way_ms = template.echo
+                rtt = sample(one_way_ms, rtt_samples, rng)
+                hops.append(TraceHop(ttl, dst_address, rtt, router_id))
                 reached = True
-        if host_target and hops and len(path) - 1 <= self.config.max_ttl:
-            # The host's own echo, one hop behind its gateway router.
-            one_way_ms += self._rtt.config.per_hop_processing_ms + 0.05
-            rtt = min(
-                self._rtt.sample_from_one_way(one_way_ms, rng=rng)
-                for _ in range(self.config.rtt_samples)
-            )
-            hops.append(
-                TraceHop(
-                    ttl=hops[-1].ttl + 1,
-                    address=dst_address,
-                    rtt_ms=rtt,
-                    router_id=path[-1].router_id,
-                )
-            )
-            reached = True
         return self._finish(
             Traceroute(
                 source_id=source_id,
@@ -384,6 +352,60 @@ class TracerouteEngine:
                 reached=reached,
             )
         )
+
+    def _template(self, src_router: int, dst_address: int) -> _PathTemplate:
+        """Build the Paris path template of one (source, destination)."""
+        flow_id = self._flow_id(src_router, dst_address, 0)
+        path = self._forwarder.router_path(src_router, dst_address, flow_id)
+        if path is None:
+            return _PathTemplate(fixed=())
+        if len(path) == 1:
+            # Destination address lives on the source router itself.
+            return _PathTemplate(
+                fixed=(
+                    TraceHop(
+                        ttl=1, address=dst_address, rtt_ms=0.1, router_id=src_router
+                    ),
+                )
+            )
+        hops: list[tuple[int, int, int | None, float]] = []
+        here: GeoLocation = self._topology.router_location(src_router)
+        one_way_ms = self._rtt.config.access_ms / 2.0
+        reaches = False
+        # Host/server targets sit on a LAN *behind* their router: the
+        # router answers TTL-expiry from its ingress interface like any
+        # transit hop, and the host itself echoes one TTL later — which
+        # is what keeps the final interdomain crossing observable when
+        # campaigns target server addresses (Section 5's hitlists).
+        dst_interface = self._topology.interfaces[dst_address]
+        host_target = dst_interface.kind is InterfaceKind.HOST
+        last_ttl = len(path) - 1
+        # path[0] is the source router itself; it does not appear as a hop.
+        for ttl, router_hop in enumerate(path[1:], start=1):
+            if ttl > self.config.max_ttl:
+                break
+            there = self._topology.router_location(router_hop.router_id)
+            one_way_ms += self._rtt.step_one_way_ms(here, there)
+            here = there
+            if ttl == last_ttl and not host_target:
+                # The destination answers the echo from the probed
+                # address itself, regardless of ingress interface.
+                address: int | None = dst_address
+                reaches = True
+            else:
+                address = router_hop.ingress_address
+            hops.append((ttl, router_hop.router_id, address, one_way_ms))
+        echo = None
+        if host_target and hops and last_ttl <= self.config.max_ttl:
+            # The host's own echo, one hop behind its gateway router.
+            # Keep the grouping: the delay step is added as one term,
+            # and regrouping the sum would change the RTT bits.
+            echo = (
+                last_ttl + 1,
+                path[-1].router_id,
+                one_way_ms + (self._rtt.config.per_hop_processing_ms + 0.05),
+            )
+        return _PathTemplate(None, tuple(hops), reaches, echo)
 
     def _trace_classic(
         self,
@@ -435,9 +457,8 @@ class TracerouteEngine:
                     there = self._topology.router_location(step.router_id)
                     one_way += self._rtt.step_one_way_ms(here, there)
                     here = there
-                rtt = min(
-                    self._rtt.sample_from_one_way(one_way, rng=rng)
-                    for _ in range(self.config.rtt_samples)
+                rtt = self._rtt.min_sample_from_one_way(
+                    one_way, self.config.rtt_samples, rng
                 )
             hops.append(
                 TraceHop(

@@ -213,7 +213,6 @@ class Forwarder:
             ]
             neighbors.sort(key=lambda adj: adj.neighbor_router)
             self._backbone[router_id] = neighbors
-        self._intra_cache: dict[tuple[int, int], list[RouterHop] | None] = {}
         self._distance_cache: dict[tuple[int, int], float] = {}
 
     @property
@@ -332,10 +331,6 @@ class Forwarder:
         """
         if src_router == dest_router:
             return []
-        cache_key = (src_router, dest_router, flow_id)
-        if cache_key in self._intra_cache:
-            cached = self._intra_cache[cache_key]
-            return list(cached) if cached is not None else None
         # BFS recording *all* minimal-distance predecessors.
         distance = {src_router: 0}
         predecessors: dict[int, list] = {}
@@ -353,7 +348,6 @@ class Forwarder:
                 elif distance[neighbor] == distance[current] + 1:
                     predecessors[neighbor].append((current, adjacency))
         if dest_router not in distance:
-            self._intra_cache[cache_key] = None
             return None
         hops: list[RouterHop] = []
         cursor = dest_router
@@ -372,5 +366,4 @@ class Forwarder:
             )
             cursor = parent
         hops.reverse()
-        self._intra_cache[cache_key] = list(hops)
         return hops
